@@ -26,6 +26,7 @@ Subcommands (``python -m repro.cli <cmd> -h`` for options):
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -37,7 +38,7 @@ from repro.core.pipeline import (
     classify_sequence,
     generate_sequence_tfs,
     render_sequence,
-    train_sequence_classifier,
+    train_classifier,
 )
 from repro.core.tracking import FeatureTracker
 from repro.obs import get_metrics
@@ -71,6 +72,13 @@ from repro.run import (
 )
 from repro.transfer.tf1d import TransferFunction1D
 from repro.volume.io import load_sequence, save_sequence
+
+
+def _farm_pool(workers: int):
+    """One resident pool for a fanned-out command (``--workers N>1``):
+    per-run invariants (the trained network, the camera) are broadcast to
+    each worker once instead of riding in every task payload."""
+    return WorkerPool(workers=workers) if workers > 1 else contextlib.nullcontext()
 
 
 def _positive_int(text: str) -> int:
@@ -194,23 +202,19 @@ def cmd_classify(args) -> int:
     """Train a data-space classifier and classify every step."""
     sequence = load_sequence(args.seqdir)
     try:
-        classifier, radius = train_sequence_classifier(
-            sequence, mask=args.mask, train_steps=args.train_steps,
+        classifier, radius = train_classifier(
+            [sequence.at_time(t) for t in args.train_steps], mask=args.mask,
             samples=args.samples, radius=args.radius, epochs=args.epochs,
             seed=args.seed)
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
     backend = "process" if args.workers > 1 else "serial"
-    pool = WorkerPool(workers=args.workers) if args.pool and args.workers > 1 else None
-    try:
+    with _farm_pool(args.workers) as pool:
         results = classify_sequence(
             classifier, sequence, workers=args.workers, backend=backend,
             retry=args.retries, on_error=args.on_error, mode=args.mode,
             prune=args.prune, cache=args.cache, pool=pool,
         )
-    finally:
-        if pool is not None:
-            pool.close()
     print(f"shell radius: {radius}  mode: {args.mode}"
           f"{'  prune' if args.prune else ''}{'  cache' if args.cache else ''}")
     print(f"{'step':>6} {'selected':>9} {'retention':>10}")
@@ -257,8 +261,7 @@ def cmd_render(args) -> int:
         fast_options = {"ert_alpha": args.ert_alpha, "cell": args.cell}
         if args.tiles is not None:
             fast_options["tile"] = args.tiles
-    pool = WorkerPool(workers=args.workers) if args.pool and args.workers > 1 else None
-    try:
+    with _farm_pool(args.workers) as pool:
         images = render_sequence(
             sequence, [tf_for(vol) for vol in sequence], camera=camera,
             shading=not args.no_shading, workers=args.workers, backend=backend,
@@ -266,9 +269,6 @@ def cmd_render(args) -> int:
             mode="fast" if args.fast else "exact", fast_options=fast_options,
             cache=args.cache, pool=pool,
         )
-    finally:
-        if pool is not None:
-            pool.close()
     for vol, image in zip(sequence, images):
         if image is None:
             print(f"step {vol.time}: FAILED (skipped)")
@@ -572,10 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "default cache root (~/.cache/repro/shared)")
     p.add_argument("--out", help="directory for per-step certainty .npy files")
     p.add_argument("--workers", type=_positive_int, default=1)
-    p.add_argument("--pool", action="store_true",
-                   help="dispatch onto a resident worker pool: the trained "
-                        "network is broadcast to each worker once instead "
-                        "of riding in every task payload")
     _add_farm_options(p)
     p.set_defaults(func=cmd_classify)
 
@@ -613,10 +609,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "cache root (~/.cache/repro/shared)")
     p.add_argument("--format", choices=["ppm", "png"], default="ppm",
                    help="frame file format")
-    p.add_argument("--pool", action="store_true",
-                   help="dispatch onto a resident worker pool: the camera "
-                        "(and a shared TF) are broadcast to each worker "
-                        "once instead of riding in every task payload")
     _add_farm_options(p)
     p.set_defaults(func=cmd_render)
 

@@ -42,11 +42,10 @@ from repro.core.introspect import (
 )
 from repro.core.tracking import FeatureTracker, StreamingTrackResult, TrackResult
 from repro.core.pipeline import (
-    PipelinedResult,
     classify_sequence,
     generate_sequence_tfs,
     render_sequence,
-    run_pipelined,
+    train_classifier,
 )
 
 __all__ = [
@@ -61,7 +60,6 @@ __all__ = [
     "MLPEngine",
     "MultivariateShellExtractor",
     "NeuralNetwork",
-    "PipelinedResult",
     "SVMEngine",
     "ShellFeatureExtractor",
     "SupportVectorMachine",
@@ -78,8 +76,8 @@ __all__ = [
     "permutation_importance",
     "rank_features",
     "render_sequence",
-    "run_pipelined",
     "smooth_certainty_stack",
     "suggest_feature_subset",
+    "train_classifier",
     "weight_saliency",
 ]

@@ -18,7 +18,6 @@ forwards to the task farm (``retry=`` / ``on_error=``) — with
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,7 @@ from repro.core.dataspace import (
 from repro.core.iatf import AdaptiveTransferFunction
 from repro.obs import get_metrics
 from repro.parallel.bricking import content_digest
-from repro.parallel.executor import TaskError, map_timesteps, will_use_processes
+from repro.parallel.executor import map_timesteps, will_use_processes
 from repro.parallel.pool import WorkerPool
 from repro.parallel.shm import HAS_SHARED_MEMORY, OpenSharedVolume, SharedVolumeArena
 from repro.render.camera import Camera
@@ -111,28 +110,29 @@ def _sample_training_mask(mask, n: int, rng) -> np.ndarray:
     return out
 
 
-def train_sequence_classifier(sequence: VolumeSequence, *, mask: str,
-                              train_steps: list[int], samples: int = 150,
-                              radius: int = 0, epochs: int = 300,
-                              seed: int = 11) -> tuple[DataSpaceClassifier, int]:
-    """Train a data-space classifier from a sequence's ground-truth masks.
+def train_classifier(volumes, *, mask: str, samples: int = 150, radius: int = 0,
+                     directions: str = "faces+corners", hidden: int = 16,
+                     epochs: int = 300, seed: int = 11
+                     ) -> tuple[DataSpaceClassifier, int]:
+    """Train a data-space classifier from the training volumes' ground truth.
 
-    This is the exact training recipe of ``repro classify`` — one RNG
-    seeded once drives every subsample, the shell radius derives from the
-    first training step's mask when ``radius <= 0`` — factored out so the
-    serve daemon and the CLI produce bit-identical classifiers for equal
-    parameters (the property the serve differential tests pin).
+    The one training recipe behind ``repro classify``, the serve daemon,
+    and the resumable and follow runners: one RNG seeded once drives
+    every subsample, in volume order (positives, then negatives), and
+    the shell radius derives from the first volume's mask when
+    ``radius <= 0``.  Equal parameters therefore give bit-identical
+    networks on every path (the property the serve differential and
+    run-directory byte-identity tests pin).
 
     Returns ``(classifier, radius)``; raises :class:`ValueError` when a
     training mask is empty.
     """
     rng = np.random.default_rng(seed)
     if radius <= 0:
-        radius = derive_shell_radius(sequence.at_time(train_steps[0]).mask(mask))
-    extractor = ShellFeatureExtractor(radius=radius)
-    classifier = DataSpaceClassifier(extractor, seed=seed)
-    for t in train_steps:
-        vol = sequence.at_time(t)
+        radius = derive_shell_radius(volumes[0].mask(mask))
+    extractor = ShellFeatureExtractor(radius=radius, directions=directions)
+    classifier = DataSpaceClassifier(extractor, hidden=hidden, seed=seed)
+    for vol in volumes:
         gt = vol.mask(mask)
         classifier.add_examples(
             vol,
@@ -219,8 +219,8 @@ def classify_sequence(classifier: DataSpaceClassifier, sequence: VolumeSequence,
       results back into the parent's ``classify.*`` counters.
 
     ``pool`` dispatches the map onto a resident
-    :class:`~repro.parallel.pool.WorkerPool` instead of a fresh process
-    pool, and broadcasts the classifier so its weights cross each worker
+    :class:`~repro.parallel.pool.WorkerPool` instead of a pool scoped to
+    the call, and broadcasts the classifier so its weights cross each worker
     pipe once per run instead of once per task.  Composes with both
     transports and the shared cache.
     """
@@ -472,178 +472,6 @@ def render_sequence(sequence: VolumeSequence, tfs, camera: Camera | None = None,
                                     backend=backend, retry=retry, on_error=on_error,
                                     pool=pool)
     return _unwrap_render(outcome)
-
-
-@dataclass
-class PipelinedResult:
-    """Outputs of one :func:`run_pipelined` call, aligned by step index.
-
-    ``certainties`` is ``None`` when no classifier was given; ``tfs`` and
-    ``images`` are ``None`` when no TF source was given (nothing to
-    render).
-    """
-
-    certainties: list | None
-    tfs: list | None
-    images: list | None
-
-
-def run_pipelined(sequence: VolumeSequence, classifier: DataSpaceClassifier | None = None,
-                  iatf: AdaptiveTransferFunction | None = None, tfs=None,
-                  camera: Camera | None = None, *, step: float = 1.0,
-                  shading: bool = True, mode: str = "exact",
-                  fast_options: dict | None = None,
-                  classify_mode: str = "exact", prune: bool = False,
-                  workers: int | None = None, pool: WorkerPool | None = None,
-                  retry=None) -> PipelinedResult:
-    """Run classify + TF + render per step as an overlapped dataflow.
-
-    The barrier orchestration (:func:`classify_sequence`, then
-    :func:`generate_sequence_tfs`, then :func:`render_sequence`) waits
-    for the *slowest* step of each stage before any step enters the
-    next.  But render of step *t* only depends on the TF of step *t* —
-    so here each step's chain ``tf(t) → render(t)`` is submitted as a
-    dataflow: the TF future's done-callback submits that step's render,
-    and classification (an independent output) interleaves with both.
-    Rendering of early steps overlaps classification of late ones, and
-    the gaps a straggler leaves in one stage are filled with work from
-    another.
-
-    TF source: pass ``iatf`` to generate per-step TFs, or ``tfs`` (one
-    shared :class:`TransferFunction1D` or one per step) to use fixed
-    ones; with neither, nothing renders and only classification runs.
-    ``classifier`` is optional and independent.  Results are assembled
-    in step order, so outputs are identical to the barrier version.
-
-    Scheduling: an explicit ``pool`` (resident workers, invariants
-    broadcast once per worker) is the intended fast path; without one,
-    ``workers > 1`` builds a private pool for the call, and otherwise the
-    chains run serially interleaved (step-by-step) in-process — same
-    outputs, bounded memory.  Payloads travel by pickle (compose with
-    :func:`classify_sequence`'s shm transport by using the barrier
-    helpers instead when volumes dominate).  Failures follow
-    ``on_error="raise"`` semantics: the first chain to exhaust its
-    retries raises :class:`~repro.parallel.executor.TaskError`.
-    """
-    if mode not in ("exact", "fast"):
-        raise ValueError(f"unknown render mode {mode!r}; expected 'exact' or 'fast'")
-    if fast_options is not None and mode != "fast":
-        raise ValueError("fast_options requires mode='fast'")
-    if iatf is not None and tfs is not None:
-        raise ValueError("pass either iatf or tfs, not both")
-    n = len(sequence)
-    tf_list = None
-    if tfs is not None:
-        tf_list = [tfs] * n if isinstance(tfs, TransferFunction1D) else list(tfs)
-        if len(tf_list) != n:
-            raise ValueError(f"need one TF per step: got {len(tf_list)} TFs for {n} steps")
-    rendering = iatf is not None or tf_list is not None
-    if classifier is None and not rendering:
-        raise ValueError("nothing to do: pass a classifier, an iatf, or tfs")
-    camera = camera or Camera()
-    fast_opts = dict(fast_options or {})
-    opts = {"mode": classify_mode, "prune": prune, "cache": None}
-
-    own_pool = None
-    if pool is None and workers is not None and workers > 1 and n > 1:
-        own_pool = pool = WorkerPool(workers=workers)
-    try:
-        with get_metrics().span("pipeline.run_pipelined", steps=n,
-                                pooled=pool is not None, mode=mode):
-            if pool is None or n < 1:
-                return _run_pipelined_serial(sequence, classifier, iatf, tf_list,
-                                             camera, step, shading, mode,
-                                             fast_opts, opts, rendering)
-            return _run_pipelined_pool(sequence, classifier, iatf, tf_list,
-                                       camera, step, shading, mode, fast_opts,
-                                       opts, rendering, pool, retry)
-    finally:
-        if own_pool is not None:
-            own_pool.close()
-
-
-def _run_pipelined_serial(sequence, classifier, iatf, tf_list, camera, step,
-                          shading, mode, fast_opts, opts, rendering) -> PipelinedResult:
-    certainties = [] if classifier is not None else None
-    out_tfs = [] if rendering else None
-    images = [] if rendering else None
-    for t, vol in enumerate(sequence):
-        if classifier is not None:
-            result, _ = _classify_one((classifier, vol, opts))
-            certainties.append(result)
-        if rendering:
-            tf_t = iatf.generate(vol) if iatf is not None else tf_list[t]
-            out_tfs.append(tf_t)
-            images.append(_render_frame(vol, tf_t, camera, step, shading,
-                                        mode, fast_opts))
-    return PipelinedResult(certainties, out_tfs, images)
-
-
-def _run_pipelined_pool(sequence, classifier, iatf, tf_list, camera, step,
-                        shading, mode, fast_opts, opts, rendering, pool,
-                        retry) -> PipelinedResult:
-    n = len(sequence)
-    if mode == "fast":
-        # The step fan-out owns the workers; tiles stay in-process.
-        fast_opts = dict(fast_opts, workers=1, backend="serial")
-    sig = ("exact" if mode == "exact" else
-           f"fast:{sorted((k, v) for k, v in fast_opts.items() if k not in ('workers', 'backend'))!r}")
-    clf_ref = pool.broadcast(classifier) if classifier is not None else None
-    iatf_ref = pool.broadcast(iatf) if iatf is not None else None
-    cam_ref = pool.broadcast(camera) if rendering else None
-    classify_futs: list = [None] * n
-    tf_futs: list = [None] * n
-    render_futs: list = [None] * n
-
-    def submit_render(t, vol, tf_t):
-        payload = (vol, tf_t, cam_ref, step, shading, mode, fast_opts, None, sig)
-        render_futs[t] = pool.submit(_render_one, payload, index=t, retry=retry)
-
-    for t, vol in enumerate(sequence):
-        if clf_ref is not None:
-            classify_futs[t] = pool.submit(_classify_one, (clf_ref, vol, opts),
-                                           index=t, retry=retry)
-        if iatf_ref is not None:
-            fut = pool.submit(_generate_tf_one, (iatf_ref, vol), index=t, retry=retry)
-
-            def chain(f, t=t, vol=vol):
-                if f.ok:
-                    submit_render(t, vol, f.value)
-
-            fut.add_done_callback(chain)
-            tf_futs[t] = fut
-        elif tf_list is not None:
-            submit_render(t, vol, tf_list[t])
-
-    # Two waits: the first drains classify + TF chains (every TF callback
-    # has fired by then, so all render futures exist); the second drains
-    # the renders those callbacks submitted.
-    pool.wait([f for f in classify_futs + tf_futs if f is not None])
-    pool.wait([f for f in render_futs if f is not None])
-
-    for stage_futs in (classify_futs, tf_futs, render_futs):
-        for fut in stage_futs:
-            if fut is not None and not fut.ok:
-                raise TaskError(fut.failure)
-
-    certainties = None
-    if classifier is not None:
-        certainties = []
-        totals: dict = {}
-        for fut in classify_futs:
-            result, stats = fut.value
-            certainties.append(result)
-            for key, value in (stats or {}).items():
-                totals[key] = totals.get(key, 0) + int(value or 0)
-        metrics = get_metrics()
-        for key in _CLASSIFY_STAT_KEYS:
-            if totals.get(key):
-                metrics.counter(f"classify.{key}").inc(totals[key])
-    out_tfs = images = None
-    if rendering:
-        out_tfs = ([f.value for f in tf_futs] if iatf is not None else list(tf_list))
-        images = [f.value[0] for f in render_futs]
-    return PipelinedResult(certainties, out_tfs, images)
 
 
 def extraction_masks(certainties, threshold: float = 0.5) -> np.ndarray:

@@ -5,12 +5,12 @@ The paper's large-data story has two halves this package reproduces:
 - *"the processing of each time step is completely independent of other
   time steps, it is feasible and desirable to employ a large PC cluster"*
   (Sec. 8) — :mod:`repro.parallel.executor` is that per-timestep task farm:
-  ``multiprocessing`` with a deterministic serial fallback, per-task retry
-  with exponential backoff and timeouts, structured :class:`TaskError`
-  failures (or an ``on_error="skip"`` degraded mode), deterministic fault
-  injection for CI (:mod:`repro.parallel.faults`), and shared-memory
-  volume transport so big steps are not pickled per task
-  (:mod:`repro.parallel.shm`).
+  one worker-pool scheduler (:mod:`repro.parallel.pool`) with a
+  deterministic serial fallback, per-task retry with exponential backoff
+  and timeouts, structured :class:`TaskError` failures (or an
+  ``on_error="skip"`` degraded mode), deterministic fault injection for
+  CI (:mod:`repro.parallel.faults`), and shared-memory volume transport
+  so big steps are not pickled per task (:mod:`repro.parallel.shm`).
 - *"when the volume size is large … not all the data can fit in core"*
   (Sec. 4.2.2) — :mod:`repro.parallel.bricking` decomposes volumes into
   ghost-padded bricks for streaming.
@@ -29,7 +29,6 @@ from repro.parallel.executor import (
     RetryPolicy,
     TaskError,
     TaskFailure,
-    TimestepExecutor,
     map_timesteps,
     will_use_processes,
 )
@@ -41,7 +40,7 @@ from repro.parallel.shm import (
     SharedVolumeArena,
     SharedVolumeHandle,
 )
-from repro.parallel.streaming import sequence_step_stems, stream_map, stream_map_parallel
+from repro.parallel.streaming import sequence_step_stems, stream_map
 
 __all__ = [
     "Brick",
@@ -58,7 +57,6 @@ __all__ = [
     "SharedVolumeHandle",
     "TaskError",
     "TaskFailure",
-    "TimestepExecutor",
     "WorkerPool",
     "assemble_bricks",
     "axis_chunks",
@@ -69,6 +67,5 @@ __all__ = [
     "sequence_step_stems",
     "split_bricks",
     "stream_map",
-    "stream_map_parallel",
     "will_use_processes",
 ]

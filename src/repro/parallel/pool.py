@@ -1,10 +1,10 @@
-"""Persistent worker-pool runtime: one spawn cost per run, not per map.
+"""Persistent worker-pool runtime: the task farm's one scheduler.
 
-Every :func:`repro.parallel.executor.map_timesteps` call with the process
-backend used to build and tear down a fresh ``multiprocessing.Pool`` —
-acceptable for one long map, pure overhead for a pipeline that issues a
-map per stage (classify all steps, generate TFs, render all steps).  A
-:class:`WorkerPool` keeps the workers resident instead:
+Every :func:`repro.parallel.executor.map_timesteps` call that fans out
+runs on a :class:`WorkerPool` — the caller's resident one, or one scoped
+to that map.  A pipeline that issues a map per stage (classify all
+steps, generate TFs, render all steps) keeps one pool resident so it
+pays the spawn cost once per run, not once per map:
 
 - **lazy spawn**: workers fork/spawn on the first dispatched task, never
   before, so constructing a pool is free;
@@ -37,8 +37,8 @@ parent always knows which task died with which worker (a task popped
 from a shared queue by a worker that crashes pre-acknowledgement would
 be lost silently).  Retry bookkeeping stays in the caller via the
 ``on_attempt_fail`` hook — :func:`map_timesteps` passes its ``_MapState``
-so counters, backoff, and ``on_error`` semantics are byte-identical to
-the per-map pool backend.
+so counters, backoff, and ``on_error`` semantics are the same object as
+the serial backend's.
 """
 
 from __future__ import annotations
@@ -62,7 +62,9 @@ from repro.parallel.executor import (
     RetryPolicy,
     TaskError,
     TaskFailure,
+    _as_policy,
     _resolve_workers,
+    _run_attempt,
     _timeout_error,
 )
 
@@ -132,19 +134,12 @@ def _worker_main(conn) -> None:
             continue
         # ("task", task_id, fn, item, attempt, injector, fault_index)
         _, task_id, fn, item, attempt, injector, fault_index = message
-        start = time.perf_counter()
+        outcome = _run_attempt(lambda: fn(resolve_broadcasts(item, broadcasts)),
+                               attempt, injector, fault_index)
         try:
-            if injector is not None:
-                injector.maybe_raise(fault_index, attempt)
-            result = fn(resolve_broadcasts(item, broadcasts))
-            outcome = (task_id, True, result, time.perf_counter() - start, None)
-        except Exception as exc:  # noqa: BLE001 - the pool owns error policy
-            outcome = (task_id, False, None, time.perf_counter() - start,
-                       (type(exc).__name__, str(exc), traceback.format_exc()))
-        try:
-            conn.send(outcome)
+            conn.send((task_id, *outcome))
         except Exception as exc:  # noqa: BLE001 - unpicklable result
-            conn.send((task_id, False, None, time.perf_counter() - start,
+            conn.send((task_id, False, None, outcome[2],
                        (type(exc).__name__, f"result transport failed: {exc}",
                         traceback.format_exc())))
     conn.close()
@@ -207,7 +202,7 @@ class _Task:
 
     __slots__ = ("task_id", "fn", "item", "index", "attempt", "injector",
                  "fault_index", "policy", "on_fail", "future", "refs",
-                 "deadline", "abandoned", "cancelled")
+                 "cancelled")
 
     def __init__(self, task_id, fn, item, index, injector, fault_index,
                  policy, on_fail, future, refs):
@@ -222,20 +217,27 @@ class _Task:
         self.on_fail = on_fail
         self.future = future
         self.refs = refs
-        self.deadline = None      # per-attempt wall deadline while dispatched
-        self.abandoned = False    # timed out / cancelled while on a worker
         self.cancelled = False
 
 
 class _WorkerSlot:
-    """One resident worker process plus its duplex pipe and send ledger."""
+    """One resident worker process plus its duplex pipe and send ledger.
 
-    __slots__ = ("process", "conn", "busy", "sent_digests")
+    ``deadline`` and ``abandoned`` describe the attempt this worker is
+    running, not the task: after a timeout the task's retry may run on
+    another slot (or wait for this one) while the abandoned attempt is
+    still here, and its late result must be dropped.
+    """
+
+    __slots__ = ("process", "conn", "busy", "deadline", "abandoned",
+                 "sent_digests")
 
     def __init__(self, process, conn):
         self.process = process
         self.conn = conn
         self.busy: _Task | None = None
+        self.deadline: float | None = None   # wall deadline of the attempt
+        self.abandoned = False               # timed out / cancelled attempt
         self.sent_digests: set = set()
 
 
@@ -248,8 +250,7 @@ class WorkerPool:
         Resident worker count (default: cores - 1, same as the farm).
     context:
         A ``multiprocessing`` context; defaults to fork where available
-        (cheap, shares the parent's pages) and spawn elsewhere — the
-        same policy as :func:`map_timesteps`.
+        (cheap, shares the parent's pages) and spawn elsewhere.
 
     Use as a context manager (or call :meth:`close`) so the resident
     workers are reaped deterministically::
@@ -342,12 +343,7 @@ class WorkerPool:
         """
         if self._closed:
             raise PoolError("cannot submit to a closed pool")
-        if retry is None:
-            policy = RetryPolicy()
-        elif isinstance(retry, int):
-            policy = RetryPolicy(max_retries=retry)
-        else:
-            policy = retry
+        policy = _as_policy(retry)
         if on_attempt_fail is None:
             on_attempt_fail = self._default_fail_handler(policy)
         refs: set = set()
@@ -417,7 +413,7 @@ class WorkerPool:
         for slot in self._slots:
             task = slot.busy
             if task is not None and id(task.future) in pending:
-                task.abandoned = True
+                slot.abandoned = True
                 task.cancelled = True
                 self._finalize_cancel(task)
 
@@ -486,7 +482,8 @@ class WorkerPool:
             self._handle_dead_slot(slot, task)
             return
         slot.busy = task
-        task.deadline = (None if task.policy.timeout is None
+        slot.abandoned = False
+        slot.deadline = (None if task.policy.timeout is None
                          else time.monotonic() + task.policy.timeout)
 
     def _pump(self, satisfied) -> None:
@@ -524,8 +521,9 @@ class WorkerPool:
         if self._delayed:
             candidates.append(self._delayed[0][0])
         for slot in self._slots:
-            if slot.busy is not None and slot.busy.deadline is not None:
-                candidates.append(slot.busy.deadline)
+            if (slot.busy is not None and not slot.abandoned
+                    and slot.deadline is not None):
+                candidates.append(slot.deadline)
         if not candidates:
             return None
         return max(0.0, min(candidates) - time.monotonic())
@@ -537,10 +535,10 @@ class WorkerPool:
             except (EOFError, OSError):
                 # Death with a partial write: the sentinel pass handles it.
                 return
-            task = slot.busy
-            slot.busy = None
-            if task is None or task.task_id != task_id or task.abandoned:
-                continue   # stale result of an abandoned/timed-out attempt
+            task, abandoned = slot.busy, slot.abandoned
+            slot.busy, slot.deadline, slot.abandoned = None, None, False
+            if task is None or task.task_id != task_id or abandoned:
+                continue   # late result of a timed-out/cancelled attempt
             if ok:
                 task.future.attempts = task.attempt
                 task.future._resolve(result, elapsed, None)
@@ -558,7 +556,7 @@ class WorkerPool:
             self._slots.remove(slot)
         self.respawns += 1
         get_metrics().counter("pool.respawns").inc()
-        if task is None or task.abandoned or task.cancelled:
+        if task is None or slot.abandoned or task.cancelled:
             return
         error = ("WorkerCrash",
                  f"worker pid {slot.process.pid} died with exitcode {exitcode} "
@@ -573,8 +571,6 @@ class WorkerPool:
                 task.index, task.attempt, error[0], error[1], error[2]))
             return
         task.attempt += 1
-        task.deadline = None
-        task.abandoned = False
         if delay > 0:
             self._seq += 1
             heapq.heappush(self._delayed, (time.monotonic() + delay, self._seq, task))
@@ -584,12 +580,12 @@ class WorkerPool:
     def _expire_timeouts(self, now: float) -> None:
         for slot in self._slots:
             task = slot.busy
-            if (task is None or task.abandoned or task.deadline is None
-                    or now <= task.deadline):
+            if (task is None or slot.abandoned or slot.deadline is None
+                    or now <= slot.deadline):
                 continue
             # Abandon the attempt; the slot frees when the stuck call
-            # eventually returns (same semantics as the per-map backend).
-            task.abandoned = True
+            # eventually returns, or when the pool closes.
+            slot.abandoned = True
             self._attempt_failed(task, 0.0, _timeout_error(task.policy.timeout))
 
     def _promote_delayed(self, now: float) -> None:
@@ -602,11 +598,20 @@ class WorkerPool:
     # Lifecycle
     # ------------------------------------------------------------------ #
     def close(self, timeout: float = 5.0) -> None:
-        """Stop and reap the resident workers (idempotent)."""
+        """Stop and reap the resident workers (idempotent).
+
+        Idle workers get a stop message and up to ``timeout`` seconds to
+        exit.  A worker still running a task — typically an attempt
+        abandoned at its timeout — is terminated at once: once the pool
+        is closed, nobody can read its result.
+        """
         if self._closed:
             return
         self._closed = True
         for slot in self._slots:
+            if slot.busy is not None:
+                slot.process.terminate()
+                continue
             try:
                 slot.conn.send(("stop",))
             except (BrokenPipeError, OSError):

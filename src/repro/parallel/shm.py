@@ -18,15 +18,20 @@ Ground-truth masks are *not* shipped — workers classify or render, they
 do not score — which is itself a payload win for the synthetic datasets.
 
 Lifetime: the arena owns the segments; workers attach/close per task and
-never unlink.  On Python < 3.13 an attaching process would register the
-segment with its own ``resource_tracker`` (which would unlink it when
-that worker exits and spam leak warnings); :func:`attach_shared_memory`
-undoes that registration, matching the ``track=False`` semantics that
-3.13 made official.
+never unlink.  On Python < 3.13 attaching registers the segment with the
+attaching process's ``resource_tracker``.  When that tracker is the
+parent's, the registration is an idempotent set-insert the arena's
+unlink undoes.  When it is the worker's own — a worker forked before the
+parent's tracker was running, as a prespawned pool's are — the tracker
+would unlink every attached segment when the worker exits (including
+segments of a map still in flight) and print leak warnings, so
+:func:`attach_shared_memory` undoes that registration, matching the
+``track=False`` semantics that 3.13 made official.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,20 +46,48 @@ except ImportError:  # pragma: no cover - stdlib module absent (exotic builds)
 HAS_SHARED_MEMORY = shared_memory is not None
 
 
+def _tracker_running() -> bool:
+    """Whether this process holds a connection to a resource tracker."""
+    try:
+        from multiprocessing import resource_tracker
+
+        return resource_tracker._resource_tracker._fd is not None
+    except Exception:  # pragma: no cover - tracker internals moved
+        return False
+
+
+#: Whether this process shares its parent's resource tracker.  A child
+#: inherits the tracker connection only if the parent's tracker was
+#: running when the child was forked (a spawned child is handed it before
+#: any module loads), so the state is captured at import and again right
+#: after every fork — never later, when the process may have started a
+#: tracker of its own.
+_tracker_inherited = _tracker_running()
+
+
+def _record_tracker_at_fork() -> None:
+    global _tracker_inherited
+    _tracker_inherited = _tracker_running()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_record_tracker_at_fork)
+
+
 def _tracker_is_foreign() -> bool:
     """Whether this process's resource tracker is separate from its parent's.
 
-    Fork children inherit the parent's tracker, so their registrations are
-    idempotent set-inserts and must *not* be undone (the parent's unlink
-    does the single unregister).  Spawn/forkserver children get their own
-    tracker, which would unlink an attached segment when the worker exits
-    — there the attach-side registration has to be removed.
+    A child sharing the parent's tracker must *not* undo its attach-side
+    registration (the parent's unlink does the single unregister).  A
+    child without one starts a private tracker on its first attach, which
+    would unlink every attached segment when the child exits — there the
+    registration has to be removed.
     """
     import multiprocessing as mp
 
     if mp.parent_process() is None:
         return False
-    return mp.get_start_method(allow_none=True) not in (None, "fork")
+    return not _tracker_inherited
 
 
 def attach_shared_memory(name: str):

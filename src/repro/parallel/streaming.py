@@ -7,10 +7,6 @@ sequence in memory.  These helpers run a per-step function over a saved
 sequence directory that way:
 
 - :func:`stream_map` — serial streaming map (peak memory ≈ one step);
-- :func:`stream_map_parallel` — process-pool variant where each worker
-  loads its own step from disk (nothing but the artifact and the step path
-  crosses the process boundary, matching the cluster pattern where nodes
-  read their own bricks);
 - :func:`prefetch_map` — ordered single-consumer map with a background
   producer thread, so step *t+1*'s I/O happens while step *t* is being
   processed (the streaming tracker's double-buffered loader).
@@ -25,7 +21,6 @@ import time as _time
 from pathlib import Path
 
 from repro.obs import get_metrics
-from repro.parallel.executor import map_timesteps
 from repro.volume.io import load_volume
 
 
@@ -152,36 +147,6 @@ class _PrefetchIterator:
     def __del__(self) -> None:
         self._stop.set()
 
-
-def _stream_worker(payload):
-    fn, stem = payload
-    return fn(load_volume(stem))
-
-
-def stream_map_parallel(fn, directory, times=None, workers: int | None = None,
-                        backend: str = "auto", retry=None,
-                        on_error: str = "raise") -> list[tuple[int, object]]:
-    """Process-pool streaming map over a saved sequence.
-
-    ``fn`` must be picklable; each worker loads its own step from disk, so
-    the parent never materializes the sequence.  Results return in step
-    order as ``(time, result)`` pairs.  ``retry``/``on_error`` forward to
-    :func:`repro.parallel.executor.map_timesteps`; with
-    ``on_error="skip"`` a failed step's result slot holds ``None``.
-
-    The manifest is read exactly once, so the mapped items and the
-    returned step times cannot desync even if the directory is rewritten
-    mid-call.
-    """
-    items: list[tuple] = []
-    kept_times: list[int] = []
-    for time, stem in sequence_step_stems(directory, times=times):
-        items.append((fn, stem))
-        kept_times.append(time)
-    with get_metrics().span("stream.map_parallel", steps=len(items)):
-        outcome = map_timesteps(_stream_worker, items, workers=workers,
-                                backend=backend, retry=retry, on_error=on_error)
-    return list(zip(kept_times, outcome.results))
 
 # --------------------------------------------------------------------- #
 # Directory watching (in-situ follow mode)

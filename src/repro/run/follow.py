@@ -51,6 +51,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.cache.store import derive_key
 from repro.core.pipeline import volume_digest
 from repro.core.tracking import FeatureTracker
 from repro.parallel.executor import map_timesteps
@@ -68,7 +69,6 @@ from repro.run.runner import (
     _task_tf_step,
     _task_train_classifier,
 )
-from repro.run.store import derive_key
 from repro.utils.atomic import atomic_write_text
 from repro.volume.io import load_volume
 

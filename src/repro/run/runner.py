@@ -7,7 +7,7 @@ into a *run directory*::
       config.json     the full config (identity of the run; written once)
       manifest.json   deterministic progress record (rewritten atomically)
       stats.json      volatile counters/timings — excluded from bit-identity
-      store/          content-addressed artifacts (repro.run.store)
+      store/          content-addressed artifacts (repro.cache.store)
       frames/         optional exported images (render.export)
 
 Every stage decomposes into tasks; every task's artifact key is derived
@@ -37,14 +37,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.dataspace import (
-    DataSpaceClassifier,
-    ShellFeatureExtractor,
-    derive_shell_radius,
-)
+from repro.core.dataspace import DataSpaceClassifier, ShellFeatureExtractor
 from repro.core.iatf import AdaptiveTransferFunction
 from repro.core.mlp import NeuralNetwork
-from repro.core.pipeline import frame_digest, volume_digest
+from repro.core.pipeline import frame_digest, train_classifier, volume_digest
 from repro.obs import get_metrics
 from repro.parallel.executor import TaskError, map_timesteps
 from repro.parallel.faults import as_injector
@@ -58,7 +54,7 @@ from repro.run.manifest import (
     ManifestError,
     RunManifest,
 )
-from repro.run.store import ArtifactStore, derive_key
+from repro.cache.store import ArtifactStore, derive_key
 from repro.segmentation.regiongrow import grow_4d
 from repro.transfer.tf1d import TransferFunction1D
 from repro.volume.io import load_sequence
@@ -84,36 +80,11 @@ class RunReport:
 # Module-level task functions (picklable for the process backend)
 # --------------------------------------------------------------------- #
 def _task_train_classifier(payload):
-    """Train the data-space classifier; artifact = network weight dict."""
+    """Train the data-space classifier; artifact = radius + network weights."""
     volumes, params = payload
-    rng = np.random.default_rng(params["seed"])
-    radius = params["radius"]
-    if radius <= 0:
-        radius = derive_shell_radius(volumes[0].mask(params["mask"]))
-    extractor = ShellFeatureExtractor(radius=radius,
-                                      directions=params["directions"])
-    classifier = DataSpaceClassifier(extractor, hidden=params["hidden"],
-                                     seed=params["seed"])
-    for vol in volumes:
-        gt = vol.mask(params["mask"])
-        classifier.add_examples(
-            vol,
-            positive_mask=_sample_mask(gt, params["samples"], rng),
-            negative_mask=_sample_mask(~gt, params["samples"], rng),
-        )
-    classifier.train(epochs=params["epochs"])
+    classifier, radius = train_classifier(
+        volumes, **{k: v for k, v in params.items() if k != "train_steps"})
     return {"radius": radius, "net": classifier.net.to_dict()}
-
-
-def _sample_mask(mask, n: int, rng) -> np.ndarray:
-    idx = np.argwhere(mask)
-    if len(idx) == 0:
-        raise RunError("training mask selects no voxels")
-    if len(idx) > n:
-        idx = idx[rng.choice(len(idx), size=n, replace=False)]
-    out = np.zeros(mask.shape, dtype=bool)
-    out[tuple(idx.T)] = True
-    return out
 
 
 def _classifier_from_artifact(artifact: dict, params: dict) -> DataSpaceClassifier:

@@ -8,20 +8,79 @@ overlap between consecutive steps.  The Fig. 9 questions — "which features
 descend from the one I selected?", "when did it split?", "how did its
 volume evolve?" — become graph queries.
 
-Built on :mod:`networkx` (a declared dependency of the repository's test
-stack and available offline), with the overlap computation reusing
-:func:`repro.segmentation.events.overlap_graph`.
+The graph is a small in-module DAG (:class:`LineageGraph`: node
+attributes plus successor/predecessor maps), with the overlap
+computation reusing :func:`repro.segmentation.events.overlap_graph`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from repro.segmentation.components import feature_attributes, label_components
 from repro.segmentation.events import overlap_graph
+
+
+class LineageGraph:
+    """Directed graph of feature occurrences.
+
+    The subset of a ``networkx.DiGraph`` the lineage needs: ``nodes[n]``
+    is the node's attribute dict, adjacency keeps insertion order, and
+    :meth:`descendants` / :meth:`ancestors` are reachability sets.
+    """
+
+    def __init__(self) -> None:
+        self.nodes: dict = {}
+        self._succ: dict = {}
+        self._pred: dict = {}
+
+    def add_node(self, node, **attrs) -> None:
+        """Add ``node`` with its attributes."""
+        self.nodes[node] = attrs
+        self._succ[node] = []
+        self._pred[node] = []
+
+    def add_edge(self, u, v) -> None:
+        """Add the edge ``u -> v`` between two added nodes."""
+        self._succ[u].append(v)
+        self._pred[v].append(u)
+
+    def number_of_nodes(self) -> int:
+        """Node count."""
+        return len(self.nodes)
+
+    def number_of_edges(self) -> int:
+        """Edge count."""
+        return sum(len(out) for out in self._succ.values())
+
+    def successors(self, node):
+        """Direct successors of ``node``."""
+        return iter(self._succ[node])
+
+    def predecessors(self, node):
+        """Direct predecessors of ``node``."""
+        return iter(self._pred[node])
+
+    def descendants(self, node) -> set:
+        """Every node reachable from ``node`` (excluding itself)."""
+        return self._reachable(node, self._succ)
+
+    def ancestors(self, node) -> set:
+        """Every node that reaches ``node`` (excluding itself)."""
+        return self._reachable(node, self._pred)
+
+    @staticmethod
+    def _reachable(node, adjacency: dict) -> set:
+        seen: set = set()
+        stack = [node]
+        while stack:
+            for nxt in adjacency[stack.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return seen
 
 
 @dataclass(frozen=True)
@@ -58,7 +117,7 @@ class FeatureLineage:
         if len(times) != len(masks):
             raise ValueError("times and masks must have equal length")
         self.times = times
-        self.graph = nx.DiGraph()
+        self.graph = LineageGraph()
         self._labelings = []
         prev_labels = None
         for step, (mask, time) in enumerate(zip(masks, times)):
@@ -69,13 +128,10 @@ class FeatureLineage:
                 self.graph.add_node(node, voxels=attr.voxels,
                                     centroid=attr.centroid, step=step)
             if prev_labels is not None:
-                for (a, b), ov in overlap_graph(
-                    prev_labels, labels, min_overlap=min_overlap
-                ).items():
-                    self.graph.add_edge(
-                        FeatureNode(times[step - 1], a), FeatureNode(time, b),
-                        overlap=ov,
-                    )
+                for a, b in overlap_graph(prev_labels, labels,
+                                          min_overlap=min_overlap):
+                    self.graph.add_edge(FeatureNode(times[step - 1], a),
+                                        FeatureNode(time, b))
             prev_labels = labels
 
     # ------------------------------------------------------------------ #
@@ -89,11 +145,11 @@ class FeatureLineage:
 
     def descendants(self, node: FeatureNode) -> set:
         """All future occurrences reachable from ``node``."""
-        return set(nx.descendants(self.graph, node))
+        return self.graph.descendants(node)
 
     def ancestors(self, node: FeatureNode) -> set:
         """All past occurrences leading to ``node``."""
-        return set(nx.ancestors(self.graph, node))
+        return self.graph.ancestors(node)
 
     def lineage_mask_stack(self, node: FeatureNode) -> np.ndarray:
         """4D mask of ``node`` plus all its descendants, step-aligned."""

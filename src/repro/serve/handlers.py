@@ -6,7 +6,7 @@ thread, one request at a time, so :class:`ServeState`'s mutable members
 the event loop only ever reads cheap scalars from them for ``/healthz``.
 
 The compute functions deliberately reuse the CLI's own building blocks
-(:func:`~repro.core.pipeline.train_sequence_classifier`,
+(:func:`~repro.core.pipeline.train_classifier`,
 :func:`~repro.core.pipeline.classify_sequence`,
 :func:`~repro.core.pipeline.render_sequence`,
 :class:`~repro.core.tracking.FeatureTracker`,
@@ -32,7 +32,7 @@ from repro.core.pipeline import (
     classify_sequence,
     frame_digest,
     render_sequence,
-    train_sequence_classifier,
+    train_classifier,
 )
 from repro.core.tracking import FeatureTracker
 from repro.metrics import feature_retention
@@ -216,11 +216,11 @@ class ServeState:
             return cached
         get_metrics().counter("serve.classifier_cache.misses").inc()
         try:
-            classifier, radius = train_sequence_classifier(
-                sequence, mask=params["mask"],
-                train_steps=[int(t) for t in params["train_steps"]],
-                samples=params["samples"], radius=params["radius"],
-                epochs=params["epochs"], seed=params["seed"])
+            classifier, radius = train_classifier(
+                [sequence.at_time(int(t)) for t in params["train_steps"]],
+                mask=params["mask"], samples=params["samples"],
+                radius=params["radius"], epochs=params["epochs"],
+                seed=params["seed"])
         except (ValueError, KeyError) as exc:
             raise BadRequest(str(exc)) from None
         self._classifiers[key] = (classifier, radius)

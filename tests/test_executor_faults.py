@@ -17,10 +17,10 @@ from repro.parallel import (
     MapResult,
     RetryPolicy,
     TaskError,
-    TimestepExecutor,
     map_timesteps,
     parse_fault_spec,
 )
+from repro.parallel.pool import WorkerPool
 from repro.parallel.faults import FAULT_ENV, as_injector
 
 
@@ -203,13 +203,50 @@ class TestSkipMode:
             map_timesteps(square, [1], on_error="ignore")
 
 
-class TestTimeout:
-    def test_timeout_fires_process(self):
-        with pytest.raises(TaskError) as excinfo:
+def _assert_timeout_fires(pool):
+    start = time.monotonic()
+    with pytest.raises(TaskError) as excinfo:
+        if pool is None:
             map_timesteps(nap, [0.05, 5.0], backend="process", workers=2,
                           retry=RetryPolicy(timeout=0.3))
-        assert excinfo.value.index == 1
+        else:
+            with pool:
+                map_timesteps(nap, [0.05, 5.0], backend="process", pool=pool,
+                              retry=RetryPolicy(timeout=0.3))
+    # Neither the map's scoped pool nor a caller's pool closing around
+    # the map may keep the caller waiting on the abandoned 5 s attempt.
+    assert time.monotonic() - start < 2.0
+    assert excinfo.value.index == 1
+    assert excinfo.value.failure.error_type == "TaskTimeout"
+    if pool is not None:
+        assert pool.started_workers == 0
+
+
+class TestTimeout:
+    def test_timeout_fires_process(self):
+        _assert_timeout_fires(None)
+
+    def test_timeout_fires_on_callers_pool(self):
+        _assert_timeout_fires(WorkerPool(workers=2))
+
+    @pytest.mark.parametrize("pool_workers", [None, 1, 2])
+    def test_late_result_of_timed_out_attempt_dropped(self, pool_workers):
+        """A timed-out attempt that returns after its retry was scheduled
+        must not resolve the task: the retry times out as well.  With one
+        worker the retry waits for the stuck slot; with two it runs beside
+        it.  ``None`` is the map's own scoped pool (capped at one worker
+        for one item)."""
+        policy = RetryPolicy(max_retries=1, backoff=0.0, timeout=0.3)
+        with pytest.raises(TaskError) as excinfo:
+            if pool_workers is None:
+                map_timesteps(nap, [0.45], backend="process", workers=2,
+                              retry=policy)
+            else:
+                with WorkerPool(workers=pool_workers) as pool:
+                    map_timesteps(nap, [0.45], backend="process", pool=pool,
+                                  retry=policy)
         assert excinfo.value.failure.error_type == "TaskTimeout"
+        assert excinfo.value.failure.attempts == 2
 
     def test_timeout_fires_serial_cooperatively(self):
         out = map_timesteps(nap, [0.2], backend="serial", on_error="skip",
@@ -248,27 +285,3 @@ class TestMapResultHygiene:
     def test_throughput_zero_elapsed_is_zero_not_inf(self):
         result = MapResult(results=[1, 2], elapsed=0.0, backend="serial", workers=1)
         assert result.throughput == 0.0
-
-    def test_chunksize_validated_not_clamped(self):
-        with pytest.raises(ValueError, match="chunksize"):
-            map_timesteps(square, [1, 2], chunksize=0)
-
-    def test_chunked_process_map_still_correct(self):
-        out = map_timesteps(square, list(range(10)), backend="process",
-                            workers=2, chunksize=3, retry=NO_BACKOFF,
-                            inject_faults={4: 1})
-        assert out.results == [x * x for x in range(10)]
-        assert out.retries == 1
-
-
-class TestExecutorStats:
-    def test_executor_accumulates_fault_stats(self):
-        ex = TimestepExecutor(workers=1, backend="serial", retry=NO_BACKOFF,
-                              on_error="skip")
-        outcome = ex.map_result(square, list(range(4)))
-        assert outcome.ok
-        assert ex.total_retries == 0 and ex.total_failures == 0
-
-    def test_executor_rejects_bad_on_error(self):
-        with pytest.raises(ValueError):
-            TimestepExecutor(on_error="explode")

@@ -5,13 +5,16 @@ spawn and reuse across maps (no respawn churn), futures with
 done-callback chaining, digest-keyed broadcast shipped to each worker
 at most once, SIGKILL crash detection + respawn flowing through the
 ordinary retry policy, injected faults / skip mode / timeouts matching
-the per-map backend semantics, and lifecycle (close, context manager,
-closed-pool errors).
+the serial backend's semantics, and lifecycle (close, context manager,
+closed-pool errors, shared-memory tracker hygiene).
 """
 
 import os
 import pathlib
 import signal
+import subprocess
+import sys
+import textwrap
 import time
 
 import pytest
@@ -23,7 +26,6 @@ from repro.parallel import (
     PoolError,
     RetryPolicy,
     TaskError,
-    TimestepExecutor,
     WorkerPool,
     map_timesteps,
 )
@@ -159,12 +161,6 @@ class TestReuse:
         out = map_timesteps(square, [1, 2], backend="serial", pool=pool)
         assert out.backend == "serial"
 
-    def test_executor_forwards_pool(self, pool):
-        ex = TimestepExecutor(workers=2, backend="process", pool=pool)
-        out = ex.map_result(square, [1, 2, 3])
-        assert out.backend == "pool" and out.results == [1, 4, 9]
-        assert ex.items_processed == 3
-
 
 class TestBroadcast:
     def test_ref_resolves_in_payload(self, pool):
@@ -296,3 +292,34 @@ class TestLifecycle:
     def test_workers_validated(self):
         with pytest.raises(ValueError):
             WorkerPool(workers=0)
+
+    def test_prespawned_shm_render_leaves_tracker_silent(self):
+        """Workers forked before any shared segment existed have no
+        inherited resource tracker; attaching must not leave segments
+        registered with a private one (which would unlink them when the
+        worker exits and print leak warnings)."""
+        script = textwrap.dedent("""
+            from repro.core.pipeline import render_sequence
+            from repro.data import make_argon_sequence
+            from repro.parallel.pool import WorkerPool
+            from repro.render.camera import Camera
+            from repro.transfer.tf1d import TransferFunction1D
+
+            seq = make_argon_sequence(shape=(8, 10, 10), times=[195, 205, 215])
+            lo, hi = seq.value_range
+            tf = TransferFunction1D((lo, hi)).add_box(lo + 0.3 * (hi - lo), hi, 0.8)
+            pool = WorkerPool(workers=2)
+            pool.prespawn()
+            for _ in range(2):
+                render_sequence(seq, tf, camera=Camera(width=8, height=8),
+                                workers=2, backend="process", transport="shm",
+                                pool=pool)
+            pool.close()
+        """)
+        src = pathlib.Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(src), os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert "resource_tracker" not in proc.stderr, proc.stderr
